@@ -9,14 +9,18 @@
 //   - dispatch with 1 / 4 MDL-compiled snippets,
 //   - dispatch after snippets were deleted (cost returns to baseline),
 //   - snippet insert/remove cost,
+//   - per call pair cost of a wall timer, a procedure-constrained timer
+//     and a byte counter on 1 and 4 rank threads sharing one metric,
 //   - a full MPI_Send round through simmpi with and without a metric.
 #include <benchmark/benchmark.h>
 
+#include "core/histogram.hpp"
 #include "instr/registry.hpp"
 #include "mdl/ast.hpp"
 #include "mdl/eval.hpp"
 #include "simmpi/launcher.hpp"
 #include "simmpi/rank.hpp"
+#include "util/clock.hpp"
 
 namespace {
 
@@ -114,6 +118,89 @@ metric t { name "t"; base is walltimer {
     mdl::uninstall(reg, cm);
 }
 BENCHMARK(BM_TimerSnippetPair);
+
+/// The snippet under test in BM_RankCallPair (its range(0)).
+enum PairSnippet : int { kBare, kWallTimer, kConstrainedTimer, kByteCounter };
+
+/// One registry and one compiled metric shared by every benchmark
+/// thread, each thread acting as its own rank: an application procedure
+/// calling an instrumented PMPI_Recv (small-messages' Grecv_message ->
+/// PMPI_Recv shape), samples folding into a striped Histogram sized as
+/// the tool sizes it.
+struct RankPairFixture {
+    instr::Registry reg;
+    const instr::FuncId outer = reg.register_function("Grecv_message", "app", 0);
+    const instr::FuncId recv = reg.register_function("PMPI_Recv", "libmpi", 0);
+    core::Histogram hist{util::wall_seconds(), 0.005, 128, 8};
+    mdl::CompiledMetric cm;
+
+    explicit RankPairFixture(int snippet) {
+        static const mdl::MdlFile file = mdl::parse(R"(
+constraint procedureConstraint /Code is counter {
+  foreach func in focus_procedure {
+    prepend preinsn func.entry (* procedureConstraint = 1; *)
+    append preinsn func.return (* procedureConstraint = 0; *) } }
+metric wall { name "wall"; base is walltimer {
+  foreach func in recv {
+    append preinsn func.entry (* startWallTimer(wall); *)
+    prepend preinsn func.return (* stopWallTimer(wall); *) } } }
+metric pwall { name "pwall"; constraint procedureConstraint; base is walltimer {
+  foreach func in recv {
+    append preinsn func.entry constrained (* startWallTimer(pwall); *)
+    prepend preinsn func.return constrained (* stopWallTimer(pwall); *) } } }
+metric bytes_m { name "bytes_m"; counter bytes; base is counter {
+  foreach func in recv { append preinsn func.return
+    (* MPI_Type_size($arg[2], &bytes); bytes_m += bytes * $arg[1]; *) } } }
+)");
+        if (snippet == kBare) return;
+        static const char* const names[] = {"", "wall", "pwall", "bytes_m"};
+        std::vector<mdl::ConstraintBinding> bindings;
+        if (snippet == kConstrainedTimer)
+            bindings.push_back({file.find_constraint("procedureConstraint"),
+                                {},
+                                {{"focus_procedure", {outer}}}});
+        cm = mdl::compile_metric(
+            reg, *file.find_metric(names[snippet]), bindings,
+            std::make_shared<NullServices>(),
+            [this](const std::string&) { return std::vector<instr::FuncId>{recv}; },
+            [this](double now, double d) { hist.add(now, d); });
+    }
+    ~RankPairFixture() { mdl::uninstall(reg, cm); }
+};
+
+/// Contended snippet cost per call pair: run with ->Threads(4), every
+/// thread fires the same metric as a distinct rank.  `pair_ns` is each
+/// thread's own wall time per call pair (lock waits included), averaged
+/// over the threads.
+void BM_RankCallPair(benchmark::State& state) {
+    static std::unique_ptr<RankPairFixture> fx;
+    if (state.thread_index() == 0)
+        fx = std::make_unique<RankPairFixture>(static_cast<int>(state.range(0)));
+    static const char* const labels[] = {"bare", "wall timer", "procedure-constrained timer",
+                                         "byte counter"};
+    state.SetLabel(labels[state.range(0)]);
+    instr::set_current_rank(state.thread_index());
+    const std::int64_t args[] = {0, 1, 8};  // one element of an 8-byte type
+    const double t0 = util::wall_seconds();
+    for (auto _ : state) {
+        instr::FunctionGuard app(fx->reg, fx->outer);
+        instr::FunctionGuard recv(fx->reg, fx->recv, args);
+        benchmark::DoNotOptimize(&recv);
+    }
+    state.counters["pair_ns"] = benchmark::Counter(
+        (util::wall_seconds() - t0) * 1e9 / static_cast<double>(state.iterations()),
+        benchmark::Counter::kAvgThreads);
+    instr::set_current_rank(-1);
+    if (state.thread_index() == 0) {
+        benchmark::DoNotOptimize(fx->hist.total());
+        fx.reset();
+    }
+}
+BENCHMARK(BM_RankCallPair)
+    ->DenseRange(kBare, kByteCounter)
+    ->Threads(1)
+    ->Threads(4)
+    ->UseRealTime();
 
 /// Full message round trip through simmpi (rank 0 -> rank 1 -> rank 0),
 /// with optional metric instrumentation on the PMPI send path.

@@ -5,6 +5,8 @@
 #include <stdexcept>
 #include <thread>
 
+#include "instr/registry.hpp"
+
 namespace m2p::core {
 
 namespace {
@@ -13,9 +15,13 @@ namespace {
 /// per-histogram buffered memory to nstripes * kFlushAt samples.
 constexpr std::size_t kFlushAt = 64;
 
-/// Stable per-thread stripe key.  simmpi ranks are OS threads, so this
-/// is per-rank striping: concurrent ranks hash to distinct stripes.
-std::size_t thread_stripe_key() {
+/// Stripe key of the calling context: the executing rank's global id,
+/// so ranks 0..nstripes-1 never share a stripe (a thread-id hash put
+/// two of four ranks on one stripe most of the time), and a migrating
+/// fiber rank keeps its stripe.  Non-rank threads hash their thread id.
+std::size_t stripe_key() {
+    const int rank = instr::current_rank();
+    if (rank >= 0) return static_cast<std::size_t>(rank);
     static thread_local const std::size_t key =
         std::hash<std::thread::id>{}(std::this_thread::get_id());
     return key;
@@ -36,7 +42,7 @@ Histogram::Histogram(double origin, double base_bin_width, std::size_t bins,
 }
 
 void Histogram::add(double t, double v) {
-    Stripe& s = stripes_[thread_stripe_key() % nstripes_];
+    Stripe& s = stripes_[stripe_key() % nstripes_];
     std::vector<std::pair<double, double>> full;
     {
         std::lock_guard lk(s.mu);

@@ -7,12 +7,12 @@
 // default to 5 ms since workloads are scaled down).
 //
 // Writes are striped (DESIGN.md "fast path"): add() appends the raw
-// (t, v) sample to a per-thread stripe buffer under that stripe's own
-// mutex, so snippet fires from different ranks never serialize on one
-// lock.  Stripes drain into the folding bins when a buffer fills or on
-// any read, replaying samples through the exact binning/folding
-// arithmetic -- totals, fold counts, and single-writer bin contents
-// are identical to the unstriped implementation.
+// (t, v) sample to the executing rank's stripe buffer under that
+// stripe's own mutex, so snippet fires from different ranks never
+// serialize on one lock.  Stripes drain into the folding bins when a
+// buffer fills or on any read, replaying samples through the exact
+// binning/folding arithmetic -- totals, fold counts, and single-writer
+// bin contents are identical to the unstriped implementation.
 #pragma once
 
 #include <cstddef>
@@ -28,7 +28,8 @@ class Histogram {
 public:
     /// @p origin is the wall-clock time of bin 0's left edge.
     /// @p stripes controls write-side striping (one buffer per stripe,
-    /// threads hash onto stripes); sized for the expected rank count.
+    /// rank r writes stripe r % stripes, non-rank threads hash onto
+    /// stripes); sized for the expected rank count.
     Histogram(double origin, double base_bin_width = 0.005, std::size_t bins = 128,
               std::size_t stripes = 16);
 

@@ -102,14 +102,16 @@ double PerfTool::tunable(const std::string& name, double fallback) const {
 void PerfTool::post(Report r) {
     {
         std::lock_guard lk(mu_);
-        for (Daemon& d : daemons_)
-            if (d.node == r.daemon_node) ++d.reports_sent;
-    }
-    {
-        std::lock_guard lk(q_mu_);
-        queue_.push_back(std::move(r));
+        enqueue_locked(std::move(r));
     }
     q_cv_.notify_all();
+}
+
+void PerfTool::enqueue_locked(Report r) {
+    for (Daemon& d : daemons_)
+        if (d.node == r.daemon_node) ++d.reports_sent;
+    std::lock_guard lk(q_mu_);
+    queue_.push_back(std::move(r));
 }
 
 void PerfTool::frontend_loop() {
@@ -435,22 +437,27 @@ void PerfTool::discover_comm(std::int64_t handle, std::int64_t tag) {
     // Reserved high tags are MPI-internal traffic; they are not user
     // synchronization objects.
     const bool user_tag = tag >= 0 && tag < (1 << 28);
-    bool new_comm = false;
-    bool new_tag = false;
     {
+        // Reports are queued under the same lock that marks the comm
+        // and tag known, so queue order is discovery order: a tag
+        // discovered by another rank can never overtake its
+        // communicator's report to the front end.
         std::lock_guard lk(mu_);
         const auto c = static_cast<simmpi::Comm>(handle);
-        new_comm = known_comms_.insert(c).second;
-        if (user_tag) new_tag = known_tags_.insert({c, static_cast<int>(tag)}).second;
+        const bool new_comm = known_comms_.insert(c).second;
+        const bool new_tag =
+            user_tag && known_tags_.insert({c, static_cast<int>(tag)}).second;
+        if (!new_comm && !new_tag) return;
+        const std::string cpath = "/SyncObject/Message/comm_" + std::to_string(handle);
+        if (new_comm)
+            enqueue_locked({Report::Kind::NewResource, cpath, ResourceKind::Communicator,
+                            world_.object_name_of_comm(c), ""});
+        if (new_tag)
+            enqueue_locked({Report::Kind::NewResource,
+                            cpath + "/tag_" + std::to_string(tag),
+                            ResourceKind::MessageTag, "", ""});
     }
-    const std::string cpath = "/SyncObject/Message/comm_" + std::to_string(handle);
-    if (new_comm) {
-        std::string display = world_.object_name_of_comm(static_cast<simmpi::Comm>(handle));
-        post({Report::Kind::NewResource, cpath, ResourceKind::Communicator, display, ""});
-    }
-    if (new_tag)
-        post({Report::Kind::NewResource, cpath + "/tag_" + std::to_string(tag),
-              ResourceKind::MessageTag, "", ""});
+    q_cv_.notify_all();
 }
 
 // ---------------------------------------------------------------------------

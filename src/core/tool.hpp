@@ -165,6 +165,10 @@ private:
     /// hierarchy greys it out and the PC stops refining into it.
     void on_rank_death(const simmpi::Epitaph& e);
     void post(Report r);
+    /// post() without the wakeup, for callers holding mu_ whose report
+    /// order must match a state change made under it (lock order:
+    /// mu_ then q_mu_).
+    void enqueue_locked(Report r);
     void frontend_loop();
     void discover_window(std::int64_t handle);
     void retire_window(std::int64_t handle);

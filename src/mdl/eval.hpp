@@ -2,17 +2,27 @@
 // into instrumentation snippets inserted into the Registry, exactly
 // Paradyn's metric-focus instantiation step.  The metric's primary
 // variable feeds a MetricSink (the tool connects it to a folding
-// histogram); constraint code maintains per-thread flags that gate
+// histogram); constraint code maintains per-context flags that gate
 // `constrained` metric code, as in the paper's Figure 2.
+//
+// Each instrumentation point's statement tree is lowered once, at
+// compile time, into a flat vector of stack-machine ops (DESIGN.md §7
+// "Compiled snippets"): scratch variables and timers become dense slot
+// indices, the "primary variable?" and "constraint flag?" tests are
+// decided per statement, and $constraint[k] folds to a constant.  A
+// firing snippet only walks its ops over the calling context's state
+// record in a lock-free ContextTable.
 #pragma once
 
+#include <array>
+#include <atomic>
+#include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "instr/registry.hpp"
@@ -49,79 +59,56 @@ using EventGate = std::function<bool(const instr::CallContext&)>;
 /// registered functions.  The tool owns the set definitions.
 using FuncSetResolver = std::function<std::vector<instr::FuncId>(const std::string&)>;
 
-/// Key identifying the execution context that owns per-context MDL
-/// state (constraint nesting flags, scratch variables, timer nests).
-/// simmpi ranks run as fibers migrating across scheduler worker
-/// threads, so thread identity alone would both mix two ranks sharing
-/// a worker and lose a rank's state when it moves.  Rank identity
-/// (carried in the fiber's migrated instr context) keys rank state;
-/// non-rank tool threads fall back to their thread id.
-struct CtxKey {
-    int rank = -1;
-    std::thread::id tid{};
-    bool operator<(const CtxKey& o) const {
-        return rank != o.rank ? rank < o.rank : tid < o.tid;
-    }
-};
-
-/// The calling context's key: {rank, default id} on a rank, {-1,
-/// this thread's id} elsewhere.
-CtxKey current_ctx_key();
-
-/// Per-context flag state of one instantiated resource constraint.
+/// Per-context MDL state of one compiled metric (scratch variables,
+/// timer nests and starts, constraint nesting depths): one fixed-size
+/// record per execution context.
 ///
-/// Flags are nesting *depths*: MDL's `X = 1` at a function entry
-/// increments and `X = 0` at its return decrements (clamped at zero),
-/// so a module constraint stays set across nested library calls
-/// (MPI_Win_fence -> PMPI_Barrier -> PMPI_Sendrecv) and clears only
-/// when the outermost constrained frame returns.
-class ConstraintInstance {
+/// A context is a simmpi rank, indexed by its global id, or a non-rank
+/// thread, indexed by a process-unique dense thread number; the two
+/// index spaces are separate, so ranks sharing a scheduler worker never
+/// alias and a migrating fiber rank keeps its state.  Storage is
+/// append-only: chunk k of a space holds kBaseChunk << k records, is
+/// allocated zeroed on the first touch of any record in it and is
+/// published with a CAS, so a 4-rank session owns one small chunk while
+/// spawned ranks or a 1024-rank world grow the table without a lock and
+/// without moving a record.  Records are padded to a cache line.
+///
+/// Ownership invariant: only the owning context reads or writes its
+/// record, so records need no synchronization.  A fiber rank that
+/// migrates between scheduler workers is ordered by the scheduler's
+/// run-queue handoff.
+class ContextTable {
 public:
-    ConstraintInstance(std::string flag_var, std::vector<std::int64_t> bindings);
+    static constexpr std::size_t kBaseChunk = 16;
+    /// Enough chunks for any non-negative int index.
+    static constexpr std::size_t kMaxChunks = 32;
 
-    const std::string& flag_var() const { return flag_var_; }
-    std::int64_t binding(int k) const;  ///< $constraint[k]
-    bool flag() const;                  ///< this context's depth > 0
-    /// Nonzero v: push one nesting level; zero: pop one (clamped).
-    void set_flag(std::int64_t v);
+    explicit ContextTable(std::size_t record_bytes);
+    ~ContextTable();
+    ContextTable(const ContextTable&) = delete;
+    ContextTable& operator=(const ContextTable&) = delete;
+
+    /// The record of rank @p rank, or of the calling thread when
+    /// @p rank < 0.  Zero-initialised on first touch.
+    std::byte* record(int rank);
+
+    std::size_t stride() const { return stride_; }
+    /// Chunks allocated so far, across both index spaces.
+    std::size_t chunks_allocated() const;
 
 private:
-    std::string flag_var_;
-    std::vector<std::int64_t> bindings_;
-    mutable std::mutex mu_;
-    std::map<CtxKey, std::int64_t> flags_;
+    using Directory = std::array<std::atomic<std::byte*>, kMaxChunks>;
+    std::byte* record_in(Directory& dir, std::size_t index);
+    std::byte* allocate_chunk(Directory& dir, std::size_t k);
+
+    const std::size_t stride_;
+    Directory ranks_{};
+    Directory threads_{};
 };
 
-/// Counter / timer environment of one instantiated metric.
-class MetricInstance {
-public:
-    MetricInstance(std::string primary_var, BaseType base, MetricSink sink);
-
-    const std::string& primary_var() const { return primary_var_; }
-    BaseType base() const { return base_; }
-
-    // Scratch counters are per-context (each rank computes its own
-    // `bytes`/`count` temporaries).
-    std::int64_t get_var(const std::string& name) const;
-    void set_var(const std::string& name, std::int64_t v);
-    void add_primary(double now, double delta);
-
-    void start_timer(const std::string& name, bool proc_time);
-    void stop_timer(const std::string& name, bool proc_time);
-
-private:
-    struct TimerState {
-        int nest = 0;
-        double start = 0.0;
-    };
-
-    std::string primary_var_;
-    BaseType base_;
-    MetricSink sink_;
-    mutable std::mutex mu_;
-    std::map<CtxKey, std::map<std::string, std::int64_t>> scratch_;
-    std::map<std::string, std::map<CtxKey, TimerState>> timers_;
-};
+/// Compiled op programs and per-context state of one metric-focus
+/// instantiation; defined in eval.cpp.
+struct MetricProgram;
 
 /// A constraint to instantiate alongside a metric: the definition plus
 /// the focus-resolved $constraint[] values.  `set_overrides` lets the
@@ -140,12 +127,18 @@ struct ConstraintBinding {
 /// instrumentation deletion).
 struct CompiledMetric {
     std::vector<instr::SnippetHandle> handles;
-    std::shared_ptr<MetricInstance> instance;
-    std::vector<std::shared_ptr<ConstraintInstance>> constraints;
+    /// Shared with every inserted snippet, so a snippet still running
+    /// after uninstall() finishes on live state.
+    std::shared_ptr<MetricProgram> program;
+
+    /// The instantiation's per-context state.
+    const ContextTable& contexts() const;
 };
 
 /// Compiles and inserts instrumentation for @p metric constrained by
-/// @p bindings.  Throws CompileError on unknown calls or function sets.
+/// @p bindings.  Throws CompileError on unknown calls, malformed calls,
+/// unknown operators or an out-of-range $constraint[k]; nothing is
+/// inserted then.
 CompiledMetric compile_metric(instr::Registry& reg, const MetricDef& metric,
                               const std::vector<ConstraintBinding>& bindings,
                               std::shared_ptr<Services> services,

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 #include <thread>
+#include <type_traits>
 
 #include "simmpi/sched.hpp"
 #include "util/clock.hpp"
@@ -849,9 +850,20 @@ int Rank::next_coll_tag(Comm c) {
 void Rank::reduce_combine(void* acc, const void* in, int count, Datatype dt,
                           Op op) const {
     auto fold = [&](auto* a, const auto* b) {
+        using T = std::remove_cvref_t<decltype(*b)>;
         for (int i = 0; i < count; ++i) {
             switch (op) {
-                case MPI_SUM: a[i] = a[i] + b[i]; break;
+                case MPI_SUM:
+                    // Integer sums wrap modulo 2^N through the unsigned
+                    // type (signed overflow would be undefined).
+                    if constexpr (std::is_integral_v<T>) {
+                        using U = std::make_unsigned_t<T>;
+                        a[i] = static_cast<T>(static_cast<U>(static_cast<U>(a[i]) +
+                                                             static_cast<U>(b[i])));
+                    } else {
+                        a[i] = a[i] + b[i];
+                    }
+                    break;
                 case MPI_MAX: a[i] = std::max(a[i], b[i]); break;
                 case MPI_MIN: a[i] = std::min(a[i], b[i]); break;
                 case MPI_OP_NULL: break;

@@ -65,6 +65,7 @@ void WaitToken::park_until(std::chrono::steady_clock::time_point deadline) {
         std::uint32_t s = state_.load(std::memory_order_acquire);
         if (s == kNotified) {
             state_.store(kIdle, std::memory_order_relaxed);
+            consume_fence();
             return;
         }
         if (deadline != kNoDeadline &&
@@ -87,6 +88,7 @@ void WaitToken::park_until(std::chrono::steady_clock::time_point deadline) {
             // expected == kNotified: consume it and return instead of
             // parking.
             state_.store(kIdle, std::memory_order_relaxed);
+            consume_fence();
             return;
         }
         fiber_->suspend(SwitchOp::Park);
@@ -113,6 +115,9 @@ void WaitToken::unpark() {
         cv_.notify_one();
         return;
     }
+    // Pairs with consume_fence(): orders the caller's predicate store
+    // before the state load below (see consume_fence).
+    std::atomic_thread_fence(std::memory_order_seq_cst);
     for (;;) {
         std::uint32_t s = state_.load(std::memory_order_acquire);
         switch (s) {
@@ -365,6 +370,7 @@ void Scheduler::finalize_park(Fiber* f) {
             // park loses, the fiber runs again immediately.
             parked_.erase(f);
             f->token_->state_.store(WaitToken::kIdle, std::memory_order_relaxed);
+            WaitToken::consume_fence();
             ready(f);
             return;
         }

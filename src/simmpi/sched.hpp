@@ -67,6 +67,15 @@ private:
         kDone = 4,      ///< fiber finished; unparks are no-ops
     };
 
+    /// Issued after every store that consumes a notify (kNotified or a
+    /// lost park -> kIdle), paired with the fence at unpark() entry.
+    /// Without the pair this is store-buffer (Dekker) reordering: the
+    /// waker's predicate store and the owner's kIdle store both sit in
+    /// store buffers while each side loads the other's stale value --
+    /// the waker sees the old kNotified and returns, the owner re-reads
+    /// a false predicate and parks until its deadline.
+    static void consume_fence() { std::atomic_thread_fence(std::memory_order_seq_cst); }
+
     std::atomic<std::uint32_t> state_{kIdle};
     Fiber* fiber_ = nullptr;  ///< set once at fiber creation, else null
 

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "simmpi/launcher.hpp"
 #include "simmpi/rank.hpp"
 #include "simmpi/world.hpp"
@@ -111,6 +113,32 @@ TEST_P(CollectivesTest, AllreduceVectorPayload) {
         ASSERT_EQ(r.MPI_Allreduce(v.data(), out.data(), 64, MPI_INT, MPI_SUM, w),
                   MPI_SUCCESS);
         for (std::int32_t x : out) EXPECT_EQ(x, n * (n - 1) / 2);
+        r.MPI_Finalize();
+    });
+}
+
+TEST_P(CollectivesTest, IntegerSumsWrapPastTheTypeMaximum) {
+    // MPI_SUM on MPI_INT / MPI_LONG wraps modulo 2^32 / 2^64 like the
+    // hardware add, instead of overflowing a signed type.
+    run(4, [](Rank& r) {
+        r.MPI_Init();
+        const Comm w = r.MPI_COMM_WORLD();
+        const std::int32_t i32 = std::numeric_limits<std::int32_t>::max();
+        const std::int64_t i64 = std::numeric_limits<std::int64_t>::max();
+        std::int32_t s32 = 0;
+        std::int64_t s64 = 0;
+        ASSERT_EQ(r.MPI_Allreduce(&i32, &s32, 1, MPI_INT, MPI_SUM, w), MPI_SUCCESS);
+        ASSERT_EQ(r.MPI_Allreduce(&i64, &s64, 1, MPI_LONG, MPI_SUM, w), MPI_SUCCESS);
+        // 4 * (2^31 - 1) = 2^33 - 4 == -4 (mod 2^32); likewise for 2^64.
+        EXPECT_EQ(s32, -4);
+        EXPECT_EQ(s64, -4);
+        std::int32_t root_sum = 0;
+        ASSERT_EQ(r.MPI_Reduce(&i32, &root_sum, 1, MPI_INT, MPI_SUM, 0, w), MPI_SUCCESS);
+        int me = 0;
+        r.MPI_Comm_rank(w, &me);
+        if (me == 0) {
+            EXPECT_EQ(root_sum, -4);
+        }
         r.MPI_Finalize();
     });
 }

@@ -171,6 +171,39 @@ TEST(Discovery, CommunicatorsAndTagsFromMessageTraffic) {
     EXPECT_EQ(tags.size(), 2u);
 }
 
+TEST(Discovery, RacingRanksNeverReportATagBeforeItsCommunicator) {
+    // Eight ranks hit each fresh communicator at once, each with its
+    // own tag, so one rank's new-communicator report races the others'
+    // new-tag reports.  A tag report reaching the front end first would
+    // make the hierarchy throw "resource parent missing" and abort.
+    constexpr int kRanks = 8;
+    constexpr int kComms = 60;
+    ToolFixture fx;
+    std::vector<Comm> made(kComms, MPI_COMM_NULL);
+    fx.run(kRanks, [&made](Rank& r) {
+        r.MPI_Init();
+        const Comm w = r.MPI_COMM_WORLD();
+        int me = 0;
+        r.MPI_Comm_rank(w, &me);
+        for (int k = 0; k < kComms; ++k) {
+            Comm c = MPI_COMM_NULL;
+            r.MPI_Comm_dup(w, &c);
+            if (me == 0) made[static_cast<std::size_t>(k)] = c;
+            int out = me, in = -1;
+            r.MPI_Sendrecv(&out, 1, MPI_INT, (me + 1) % kRanks, me, &in, 1, MPI_INT,
+                           (me + kRanks - 1) % kRanks, simmpi::MPI_ANY_TAG, c, nullptr);
+        }
+        r.MPI_Finalize();
+    });
+    for (const Comm c : made) {
+        const std::string path = "/SyncObject/Message/comm_" + std::to_string(c);
+        ASSERT_TRUE(fx.tool.hierarchy().exists(path)) << path;
+        EXPECT_EQ(fx.tool.hierarchy().children(path, true).size(),
+                  std::size_t{kRanks})
+            << path;
+    }
+}
+
 TEST(Discovery, InternalReservedTagsInvisible) {
     // The MPICH barrier's internal PMPI_Sendrecv traffic uses reserved
     // tags; they must not pollute the SyncObject hierarchy.
