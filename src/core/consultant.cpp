@@ -163,13 +163,12 @@ PCReport PerformanceConsultant::search(const std::function<bool()>& still_runnin
             frontier.pop_front();
         }
         report.experiments_run += static_cast<int>(batch.size());
-        tool_.pc_counters().started.fetch_add(batch.size(),
-                                              std::memory_order_relaxed);
+        tool_.count_pc(PerfTool::PcTally::Started, batch.size());
         evaluate_batch(batch, still_running);
         for (PCNode* n : batch) {
             if (n->tested && !n->truncated && tool_.world().death_epoch() != 0) {
                 ++report.post_loss_experiments;
-                tool_.pc_counters().post_loss.fetch_add(1, std::memory_order_relaxed);
+                tool_.count_pc(PerfTool::PcTally::PostLoss);
             }
         }
         for (PCNode* n : batch) {
@@ -245,10 +244,9 @@ double PerformanceConsultant::evaluate_batch(
         e.node->value = cpus / static_cast<double>(denom);
         e.node->tested = true;
         e.node->tested_true = e.node->value > e.node->threshold;
-        PerfTool::PcCounters& pc = tool_.pc_counters();
-        pc.completed.fetch_add(1, std::memory_order_relaxed);
-        if (lost_ranks) pc.truncated.fetch_add(1, std::memory_order_relaxed);
-        if (e.node->tested_true) pc.tested_true.fetch_add(1, std::memory_order_relaxed);
+        tool_.count_pc(PerfTool::PcTally::Completed);
+        if (lost_ranks) tool_.count_pc(PerfTool::PcTally::Truncated);
+        if (e.node->tested_true) tool_.count_pc(PerfTool::PcTally::TestedTrue);
         tool_.world().trace_event(trace::EventKind::ExperimentStop, -1,
                                   static_hypothesis_name(e.node->hypothesis),
                                   e.node->tested_true ? 1 : 0);

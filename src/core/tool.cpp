@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <iterator>
 
 #include "core/metrics.hpp"
 #include "mdl/default_metrics.hpp"
@@ -39,29 +40,19 @@ PerfTool::PerfTool(simmpi::World& world, Options opts)  // NOLINT
     : world_(world), opts_(std::move(opts)), pvar_scope_(world.pvars()) {
     mdl_ = mdl::parse(opts_.mdl_source.empty() ? mdl::default_metrics_source()
                                                : opts_.mdl_source);
-    // PC lifecycle tallies as pvars.  The scope detaches them in the
-    // destructor, which serializes against any in-flight snapshot, so
-    // a sampler never polls a dead tool.
-    pvar_scope_.add_counter(
-        "pc.experiments.started",
-        [this] { return pc_counters_.started.load(std::memory_order_relaxed); },
-        "experiments", "PC experiments launched");
-    pvar_scope_.add_counter(
-        "pc.experiments.completed",
-        [this] { return pc_counters_.completed.load(std::memory_order_relaxed); },
-        "experiments", "PC experiments measured to completion");
-    pvar_scope_.add_counter(
-        "pc.experiments.tested_true",
-        [this] { return pc_counters_.tested_true.load(std::memory_order_relaxed); },
-        "experiments", "experiments whose hypothesis held");
-    pvar_scope_.add_counter(
-        "pc.experiments.truncated",
-        [this] { return pc_counters_.truncated.load(std::memory_order_relaxed); },
-        "experiments", "experiments truncated by a rank death");
-    pvar_scope_.add_counter(
-        "pc.experiments.post_loss",
-        [this] { return pc_counters_.post_loss.load(std::memory_order_relaxed); },
-        "experiments", "clean experiments completed after a loss");
+    // PC lifecycle tallies as registry-owned pvars.  The scope detaches
+    // them in the destructor; the storage stays with the registry.
+    const std::pair<const char*, const char*> pc_vars[] = {
+        {"pc.experiments.started", "PC experiments launched"},
+        {"pc.experiments.completed", "PC experiments measured to completion"},
+        {"pc.experiments.tested_true", "experiments whose hypothesis held"},
+        {"pc.experiments.truncated", "experiments truncated by a rank death"},
+        {"pc.experiments.post_loss", "clean experiments completed after a loss"},
+    };
+    static_assert(std::size(pc_vars) == std::tuple_size_v<decltype(pc_tally_)>);
+    for (std::size_t i = 0; i < pc_tally_.size(); ++i)
+        pc_tally_[i] = pvar_scope_.add_owned_counter(pc_vars[i].first, "experiments",
+                                                     pc_vars[i].second);
     services_ = std::make_shared<ToolServices>(*this);
     metrics_ = std::make_unique<MetricManager>(*this, opts_.bin_width, opts_.bins);
     frontend_ = std::thread([this] { frontend_loop(); });
@@ -85,8 +76,8 @@ PerfTool::~PerfTool() {
     }
     q_cv_.notify_all();
     if (frontend_.joinable()) frontend_.join();
-    // Detach pc.experiments.* while `this` is still fully alive; the
-    // removal serializes against any snapshot pass mid-poll.
+    // Detach pc.experiments.* so a later tool on the same world can
+    // register them again.
     pvar_scope_.reset();
 }
 
@@ -481,10 +472,6 @@ std::int64_t PerfTool::window_uid_of_path(const std::string& path) const {
     for (const auto& [uid, p] : win_path_by_uid_)
         if (p == path) return uid;
     return -1;
-}
-
-simmpi::RmaCounterSnapshot PerfTool::window_rma_counters(simmpi::Win handle) const {
-    return world_.win_rma_counters(handle);
 }
 
 // ---------------------------------------------------------------------------

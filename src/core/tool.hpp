@@ -24,6 +24,7 @@
 //    launcher, driven by tool-side run helpers.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
@@ -109,10 +110,6 @@ public:
     std::string window_path(std::int64_t uid) const;
     /// Uid of the window whose resource path is @p path (-1 unknown).
     std::int64_t window_uid_of_path(const std::string& path) const;
-    /// The runtime's epoch-batched Table-1 counter totals for a window
-    /// (op/byte counts and sync aggregates; valid after MPI_Win_free
-    /// too, so consoles can show final per-window figures).
-    simmpi::RmaCounterSnapshot window_rma_counters(simmpi::Win handle) const;
 
     // -- Focus helpers -----------------------------------------------------
     /// Global ranks selected by the focus's machine/process axes.
@@ -132,17 +129,14 @@ public:
     bool function_visible(const instr::FunctionInfo& fi) const;
 
     // -- Performance Consultant lifecycle tallies (pc.experiments.*) -------
-    /// Relaxed counters the consultant bumps as its search runs; the
-    /// tool registers them as pvars in the world's registry (detached
-    /// again in ~PerfTool, before the world can outlive the storage).
-    struct PcCounters {
-        std::atomic<std::uint64_t> started{0};      ///< experiments launched
-        std::atomic<std::uint64_t> completed{0};    ///< measured to completion
-        std::atomic<std::uint64_t> tested_true{0};  ///< hypothesis held
-        std::atomic<std::uint64_t> truncated{0};    ///< rank died mid-interval
-        std::atomic<std::uint64_t> post_loss{0};    ///< clean runs after a loss
-    };
-    PcCounters& pc_counters() { return pc_counters_; }
+    enum class PcTally { Started, Completed, TestedTrue, Truncated, PostLoss };
+    /// Bumps one pc.experiments.* counter.  The counters' storage is
+    /// owned by the world's pvar registry; the tool's scope detaches
+    /// their names in ~PerfTool.
+    void count_pc(PcTally t, std::uint64_t n = 1) {
+        if (std::atomic<std::uint64_t>* c = pc_tally_[static_cast<std::size_t>(t)])
+            c->fetch_add(n, std::memory_order_relaxed);
+    }
 
     // -- Spawn support -----------------------------------------------------
     const SpawnSupportStats& spawn_stats() const { return spawn_stats_; }
@@ -193,8 +187,10 @@ private:
     std::set<std::pair<simmpi::Comm, int>> known_tags_;
     std::set<int> known_procs_;
     SpawnSupportStats spawn_stats_;
-    PcCounters pc_counters_;
     pvar::ProviderScope pvar_scope_;  ///< pc.experiments.* registrations
+    /// Registry-owned pc.experiments.* storage, indexed by PcTally (null
+    /// when another live tool on the same world holds the names).
+    std::array<std::atomic<std::uint64_t>*, 5> pc_tally_{};
 
     // Daemon -> frontend report channel.
     std::mutex q_mu_;

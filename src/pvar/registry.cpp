@@ -32,6 +32,10 @@ Registry::Var* Registry::live_slot(VarId id) const {
 
 VarId Registry::add(Desc d, Reader r) {
     std::lock_guard lk(reg_mu_);
+    return add_locked(std::move(d), std::move(r));
+}
+
+VarId Registry::add_locked(Desc d, Reader r) {
     if (d.name.empty() || by_name_.count(d.name)) return kInvalidVar;
     const std::uint32_t id = count_.load(std::memory_order_relaxed);
     const std::size_t chunk = id >> kChunkShift;
@@ -40,7 +44,13 @@ VarId Registry::add(Desc d, Reader r) {
     Var& v = chunks_[chunk][id & (kChunkSize - 1)];
     by_name_.emplace(d.name, id);
     v.desc = std::move(d);
-    v.read = std::move(r);
+    // No reader: the variable reads its own slot's atomic (owned
+    // counters).  The slot address is chunk-stable, so this never
+    // dangles.
+    if (r)
+        v.read = std::move(r);
+    else
+        v.read = [&v] { return v.owned.load(std::memory_order_relaxed); };
     v.alive.store(true, std::memory_order_relaxed);
     // Publish the id: lock-free readers acquire count_ and see the
     // fully built slot.
@@ -68,23 +78,12 @@ VarId Registry::add_gauge(std::string name, Reader r, std::string unit,
 
 std::atomic<std::uint64_t>* Registry::add_owned_counter(std::string name,
                                                         std::string unit,
-                                                        std::string help) {
+                                                        std::string help, VarId* id_out) {
     std::lock_guard lk(reg_mu_);
-    if (name.empty() || by_name_.count(name)) return nullptr;
-    const std::uint32_t id = count_.load(std::memory_order_relaxed);
-    const std::size_t chunk = id >> kChunkShift;
-    if (chunk >= kMaxChunks) return nullptr;
-    if (!chunks_[chunk]) chunks_[chunk].reset(new Var[kChunkSize]);
-    Var& v = chunks_[chunk][id & (kChunkSize - 1)];
-    by_name_.emplace(name, id);
-    v.desc = {std::move(name), Class::Counter, std::move(unit), std::move(help)};
-    // The reader captures the slot's own atomic; the slot address is
-    // chunk-stable, so this never dangles.  Set BEFORE the count_
-    // publish so lock-free snapshot passes never see a half-built var.
-    v.read = [&v] { return v.owned.load(std::memory_order_relaxed); };
-    v.alive.store(true, std::memory_order_relaxed);
-    count_.store(id + 1, std::memory_order_release);
-    return &v.owned;
+    const VarId id =
+        add_locked({std::move(name), Class::Counter, std::move(unit), std::move(help)}, {});
+    if (id_out) *id_out = id;
+    return id == kInvalidVar ? nullptr : &slot(id)->owned;
 }
 
 bool Registry::remove(VarId id) {

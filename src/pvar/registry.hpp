@@ -119,10 +119,13 @@ public:
     /// Registers a counter whose storage lives inside the registry
     /// slot, for providers with no natural home for the value.  The
     /// returned atomic's address is stable for the registry's lifetime
-    /// (chunked storage never moves).  Null when the name is taken.
+    /// (chunked storage never moves), even after remove().  Null when
+    /// the name is taken.  @p id, when given, receives the variable's
+    /// id (kInvalidVar on failure).
     std::atomic<std::uint64_t>* add_owned_counter(std::string name,
                                                   std::string unit = "events",
-                                                  std::string help = {});
+                                                  std::string help = {},
+                                                  VarId* id = nullptr);
     /// Tombstones @p id: detaches the name (re-registrable), excludes
     /// the variable from future snapshots, and -- because removal
     /// serializes against the snapshot pass -- guarantees no snapshot
@@ -185,6 +188,9 @@ private:
     static constexpr std::size_t kChunkSize = std::size_t{1} << kChunkShift;
     static constexpr std::size_t kMaxChunks = 256;
 
+    /// Builds and publishes a variable (reg_mu_ held); an empty
+    /// reader makes it read the slot's own `owned` atomic.
+    VarId add_locked(Desc d, Reader r);
     Var* slot(VarId id) const;
     Var* live_slot(VarId id) const;
     void publish_locked(Var& v, std::uint64_t value, std::uint64_t epoch);
@@ -209,28 +215,28 @@ public:
     ProviderScope(const ProviderScope&) = delete;
     ProviderScope& operator=(const ProviderScope&) = delete;
 
-    VarId add(Desc d, Reader r) { return track(reg_.add(std::move(d), std::move(r))); }
     VarId add_counter(std::string name, Reader r, std::string unit = "events",
                       std::string help = {}) {
         return track(reg_.add_counter(std::move(name), std::move(r), std::move(unit),
                                       std::move(help)));
     }
-    VarId add_watermark(std::string name, Reader r, std::string unit = "bytes",
-                        std::string help = {}) {
-        return track(reg_.add_watermark(std::move(name), std::move(r), std::move(unit),
-                                        std::move(help)));
-    }
-    VarId add_gauge(std::string name, Reader r, std::string unit = "bytes",
-                    std::string help = {}) {
-        return track(reg_.add_gauge(std::move(name), std::move(r), std::move(unit),
-                                    std::move(help)));
+    /// Tracked form of Registry::add_owned_counter: the counter's
+    /// storage outlives the scope (it is the registry's), so a provider
+    /// may keep bumping it after reset() -- the bumps just go unread.
+    std::atomic<std::uint64_t>* add_owned_counter(std::string name,
+                                                  std::string unit = "events",
+                                                  std::string help = {}) {
+        VarId id = kInvalidVar;
+        std::atomic<std::uint64_t>* c =
+            reg_.add_owned_counter(std::move(name), std::move(unit), std::move(help), &id);
+        track(id);
+        return c;
     }
     /// Removes every tracked variable now (idempotent).
     void reset() {
         for (VarId id : ids_) reg_.remove(id);
         ids_.clear();
     }
-    Registry& registry() { return reg_; }
 
 private:
     VarId track(VarId id) {

@@ -1508,7 +1508,7 @@ int Rank::PMPI_Bcast(void* buf, int count, Datatype dt, int root, Comm c) {
         return coll_bcast_tree(buf, bytes, root, tag, cd)
                    ? MPI_SUCCESS
                    : comm_error(c, coll_fail_code(cd));
-    // Flat star: the legacy shape paper-validation runs pin.
+    // Flat star: the linear baseline CollAlgo::Flat selects.
     if (me == root) {
         for (int r = 0; r < n; ++r)
             if (r != root) internal_send(buf, bytes, r, tag, cd);

@@ -209,13 +209,22 @@ int Rank::PMPI_Win_free(Win* win) {
     WinData& w = world_.win(*win);
     CommData& cd = world_.comm(w.comm);
     RmaSyncScope sync(*this, "MPI_Win_free", *win, /*passive=*/false);
-    // Freeing a window while any rank holds or awaits a passive-target
-    // lock on it is erroneous; refuse before entering the collective
-    // barrier so the caller gets MPI_ERR_WIN instead of wedging the
-    // lock queue (and the other members) forever.
+    // Freeing a window while the caller itself holds or awaits a
+    // passive-target lock on it is erroneous, and a lock held or awaited
+    // by a dead rank is never released: refuse both before entering the
+    // collective barrier, so the caller gets MPI_ERR_WIN instead of
+    // wedging the members.  A live peer's lock is the normal end of a
+    // lock loop -- the peer unlocks and then frees -- so wait for it in
+    // the barrier.
+    const auto blocks_free = [&](int g) { return g == global_ || world_.rank_dead(g); };
     for (auto& [gr, sh] : w.shards) {
         std::lock_guard lk(sh.mu);
-        if (sh.lock.held() || !sh.lock.waiters.empty()) return MPI_ERR_WIN;
+        const PassiveLock& pl = sh.lock;
+        if ((pl.exclusive_holder != -1 && blocks_free(pl.exclusive_holder)) ||
+            std::any_of(pl.shared_holders.begin(), pl.shared_holders.end(), blocks_free) ||
+            std::any_of(pl.waiters.begin(), pl.waiters.end(),
+                        [&](const auto& lw) { return blocks_free(lw->origin); }))
+            return MPI_ERR_WIN;
     }
     // The MPI-2 standard requires barrier semantics here (paper
     // section 4.2.1: MPI_Win_free belongs in the general RMA

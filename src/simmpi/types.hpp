@@ -143,21 +143,6 @@ struct Status {
     int count_bytes = 0;  ///< backs MPI_Get_count
 };
 
-/// Point-in-time view of one window's twelve Table-1 RMA metrics
-/// (paper Table 1): op and byte counts per one-sided kind plus the
-/// synchronization aggregates.  The derived totals (rma_ops,
-/// rma_bytes, rma_sync_wait) are computed at snapshot time from the
-/// base counters, so they are always internally consistent even while
-/// other ranks keep flushing.
-struct RmaCounterSnapshot {
-    std::int64_t put_ops = 0, get_ops = 0, acc_ops = 0, rma_ops = 0;
-    std::int64_t put_bytes = 0, get_bytes = 0, acc_bytes = 0, rma_bytes = 0;
-    std::int64_t sync_ops = 0;
-    double at_sync_wait = 0.0;  ///< seconds in active-target sync calls
-    double pt_sync_wait = 0.0;  ///< seconds in passive-target sync calls
-    double sync_wait = 0.0;     ///< at_sync_wait + pt_sync_wait
-};
-
 inline constexpr int MPI_MAX_OBJECT_NAME = 128;
 inline constexpr int MPI_MAX_PROCESSOR_NAME = 128;
 

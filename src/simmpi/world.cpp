@@ -4,6 +4,7 @@
 #include <time.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -53,36 +54,57 @@ void World::register_pvars() {
         [this] { return static_cast<std::uint64_t>(reg_.stats().snippets_executed); },
         "snippets", "MDL snippet executions at dispatch");
 
-    // Transport plane.  delivered_* are registered BEFORE the queued
-    // counters deliberately: a snapshot pass polls variables in id
-    // order, and delivered <= queued holds at every instant with both
-    // sides monotone, so reading delivered first keeps the invariant
-    // true inside every published snapshot even under churn.
-    pvars_.add_counter(
-        "simmpi.mailbox.delivered_msgs",
-        [this] { return mailbox_stats().delivered_msgs; }, "events",
-        "envelopes drained by receivers");
-    pvars_.add_counter(
-        "simmpi.mailbox.delivered_bytes",
-        [this] { return mailbox_stats().delivered_bytes; }, "bytes",
-        "payload bytes drained by receivers");
-    pvars_.add_counter(
-        "simmpi.mailbox.eager_msgs", [this] { return mailbox_stats().eager_msgs; },
-        "events", "envelopes queued under the eager protocol");
-    pvars_.add_counter(
-        "simmpi.mailbox.rendezvous_msgs",
-        [this] { return mailbox_stats().rendezvous_msgs; }, "events",
-        "envelopes queued with a rendezvous token");
-    pvars_.add_counter(
-        "simmpi.mailbox.flow_stalls", [this] { return mailbox_stats().flow_stalls; },
-        "events", "sender parks waiting for eager headroom");
+    // Transport plane: one reader per variable, each folding its own
+    // per-mailbox relaxed atomic (sum; max for the watermark).
+    // delivered_* are registered BEFORE the queued counters
+    // deliberately: a snapshot pass polls variables in id order, and
+    // delivered <= queued holds at every instant with both sides
+    // monotone, so reading delivered first keeps the invariant true
+    // inside every published snapshot even under churn.
+    const auto mailbox_fold = [this](std::atomic<std::uint64_t> Mailbox::*field,
+                                     bool max = false) {
+        return [this, field, max] {
+            std::uint64_t acc = 0;
+            const int n = static_cast<int>(mailboxes_.size());
+            for (int g = 0; g < n; ++g) {
+                const std::uint64_t v =
+                    (mailboxes_.find(g)->*field).load(std::memory_order_relaxed);
+                acc = max ? std::max(acc, v) : acc + v;
+            }
+            return acc;
+        };
+    };
+    pvars_.add_counter("simmpi.mailbox.delivered_msgs",
+                       mailbox_fold(&Mailbox::delivered_msgs), "events",
+                       "envelopes drained by receivers");
+    pvars_.add_counter("simmpi.mailbox.delivered_bytes",
+                       mailbox_fold(&Mailbox::delivered_bytes), "bytes",
+                       "payload bytes drained by receivers");
+    pvars_.add_counter("simmpi.mailbox.eager_msgs", mailbox_fold(&Mailbox::eager_msgs),
+                       "events", "envelopes queued under the eager protocol");
+    pvars_.add_counter("simmpi.mailbox.rendezvous_msgs",
+                       mailbox_fold(&Mailbox::rendezvous_msgs), "events",
+                       "envelopes queued with a rendezvous token");
+    pvars_.add_counter("simmpi.mailbox.flow_stalls", mailbox_fold(&Mailbox::flow_stalls),
+                       "events", "sender parks waiting for eager headroom");
     pvars_.add_gauge(
-        "simmpi.mailbox.bytes_queued", [this] { return mailbox_stats().bytes_queued; },
+        "simmpi.mailbox.bytes_queued",
+        [this] {
+            // bytes_queued is plain state under mu; the gauge takes the
+            // brief lock (snapshot cadence, never the data path).
+            std::uint64_t sum = 0;
+            const int n = static_cast<int>(mailboxes_.size());
+            for (int g = 0; g < n; ++g) {
+                Mailbox& mb = *mailboxes_.find(g);
+                std::lock_guard lk(mb.mu);
+                sum += mb.bytes_queued;
+            }
+            return sum;
+        },
         "bytes", "bytes currently queued across mailboxes");
-    pvars_.add_watermark(
-        "simmpi.mailbox.bytes_queued_hwm",
-        [this] { return mailbox_stats().bytes_queued_hwm; }, "bytes",
-        "deepest mailbox backlog seen");
+    pvars_.add_watermark("simmpi.mailbox.bytes_queued_hwm",
+                         mailbox_fold(&Mailbox::bytes_queued_hwm, /*max=*/true), "bytes",
+                         "deepest mailbox backlog seen");
 
     // Trace plane (per-thread ring head counters).
     if (recorder_) {
@@ -106,28 +128,6 @@ void World::register_pvars() {
     pvars_.add_counter(
         "faults.epitaphs", [this] { return epitaph_count(); }, "deaths",
         "epitaphs recorded (rank deaths)");
-}
-
-World::MailboxStats World::mailbox_stats() const {
-    MailboxStats s;
-    const int n = static_cast<int>(mailboxes_.size());
-    for (int g = 0; g < n; ++g) {
-        Mailbox& mb = *const_cast<World*>(this)->mailboxes_.find(g);
-        s.eager_msgs += mb.eager_msgs.load(std::memory_order_relaxed);
-        s.rendezvous_msgs += mb.rendezvous_msgs.load(std::memory_order_relaxed);
-        s.delivered_msgs += mb.delivered_msgs.load(std::memory_order_relaxed);
-        s.delivered_bytes += mb.delivered_bytes.load(std::memory_order_relaxed);
-        s.flow_stalls += mb.flow_stalls.load(std::memory_order_relaxed);
-        const std::uint64_t hwm = mb.bytes_queued_hwm.load(std::memory_order_relaxed);
-        if (hwm > s.bytes_queued_hwm) s.bytes_queued_hwm = hwm;
-        {
-            // bytes_queued is plain state under mu; the gauge takes the
-            // brief lock (snapshot cadence, never the data path).
-            std::lock_guard lk(mb.mu);
-            s.bytes_queued += mb.bytes_queued;
-        }
-    }
-    return s;
 }
 
 void World::register_mpi_functions() {
@@ -795,8 +795,8 @@ Win World::create_win(Comm c) {
     });
     // Table-1 pvars for this window.  Handles are never reused (only
     // impl_ids recycle) and the WinData slot outlives MPI_Win_free, so
-    // the captured pointer stays valid and final totals stay readable
-    // -- the same contract win_rma_counters() documents.
+    // the captured pointer stays valid and tools can read a freed
+    // window's final totals.
     {
         const WinCounters* wc = &wins_.at(h, "simmpi: bad window handle").counters;
         const std::string base = "rma.table1.win" + std::to_string(h) + ".";
@@ -830,25 +830,6 @@ bool World::win_valid(Win w) const {
 void World::release_win_impl_id(int impl_id) {
     std::lock_guard lk(mu_);
     free_win_impl_ids_.push_back(impl_id);
-}
-
-RmaCounterSnapshot World::win_rma_counters(Win w) {
-    WinData& wd = win(w);
-    const WinCounters& c = wd.counters;
-    RmaCounterSnapshot s;
-    s.put_ops = c.put_ops.load(std::memory_order_acquire);
-    s.get_ops = c.get_ops.load(std::memory_order_acquire);
-    s.acc_ops = c.acc_ops.load(std::memory_order_acquire);
-    s.put_bytes = c.put_bytes.load(std::memory_order_acquire);
-    s.get_bytes = c.get_bytes.load(std::memory_order_acquire);
-    s.acc_bytes = c.acc_bytes.load(std::memory_order_acquire);
-    s.sync_ops = c.sync_ops.load(std::memory_order_acquire);
-    s.rma_ops = s.put_ops + s.get_ops + s.acc_ops;
-    s.rma_bytes = s.put_bytes + s.get_bytes + s.acc_bytes;
-    s.at_sync_wait = static_cast<double>(c.at_sync_wait_ns.load(std::memory_order_acquire)) * 1e-9;
-    s.pt_sync_wait = static_cast<double>(c.pt_sync_wait_ns.load(std::memory_order_acquire)) * 1e-9;
-    s.sync_wait = s.at_sync_wait + s.pt_sync_wait;
-    return s;
 }
 
 Request World::create_request(RequestData rd) {

@@ -173,8 +173,8 @@ struct Mailbox {
 
     // Transport accounting for the pvar plane (simmpi.mailbox.*).
     // Relaxed atomics bumped at the push/drain/park sites while mu is
-    // already held, but readable lock-free by the snapshot aggregator
-    // -- a sampler never touches a mailbox mutex.
+    // already held, but readable lock-free by their pvar readers --
+    // only the bytes_queued gauge touches a mailbox mutex.
     std::atomic<std::uint64_t> eager_msgs{0};       ///< envelopes queued eagerly
     std::atomic<std::uint64_t> rendezvous_msgs{0};  ///< envelopes queued with a token
     std::atomic<std::uint64_t> delivered_msgs{0};   ///< envelopes drained by a receiver
@@ -589,17 +589,19 @@ struct MpirProcDesc {
     int global_rank = -1;
 };
 
-/// Which collective algorithms the transport uses.  Tree is the
-/// production shape (binomial / recursive-doubling, log depth); Flat
-/// pins the legacy linear root-loops so paper-validation runs keep the
-/// message pattern the known-bottleneck figures were built on.
+/// Which collective algorithms the transport uses.  Tree (binomial /
+/// recursive-doubling, log depth) is the default for every run, the
+/// paper-validation benches included; Flat keeps the linear root-loops
+/// as the baseline the transport bench and the collective and fault
+/// test matrices compare against.
 enum class CollAlgo { Flat, Tree };
 
-/// How rank bodies are executed.  Fiber is the production engine:
-/// stackful fibers multiplexed over the work-stealing scheduler pool,
-/// with park/unpark blocking (DESIGN.md section 12).  Thread is the
-/// legacy thread-per-rank engine, retained as an in-binary baseline
-/// and for tests that pin OS-thread semantics.
+/// How rank bodies are executed.  Fiber, the default for a raw World,
+/// multiplexes stackful fibers over the work-stealing scheduler pool
+/// with park/unpark blocking (DESIGN.md section 12).  Thread runs one
+/// OS thread per rank; every core::Session runs on it
+/// (tool_world_config), because the Performance Consultant's sync-wait
+/// hypotheses need preemptively scheduled ranks.
 enum class RankEngine { Fiber, Thread };
 
 class World {
@@ -709,19 +711,6 @@ public:
         return epitaph_count_.load(std::memory_order_acquire);
     }
 
-    /// Aggregated transport stats over every mailbox (lock-free sums
-    /// of the per-mailbox relaxed counters; hwm is the max).
-    struct MailboxStats {
-        std::uint64_t eager_msgs = 0;
-        std::uint64_t rendezvous_msgs = 0;
-        std::uint64_t delivered_msgs = 0;
-        std::uint64_t delivered_bytes = 0;
-        std::uint64_t flow_stalls = 0;
-        std::uint64_t bytes_queued = 0;      ///< gauge: currently queued
-        std::uint64_t bytes_queued_hwm = 0;  ///< max over mailboxes
-    };
-    MailboxStats mailbox_stats() const;
-
     // -- Program registry ------------------------------------------------
     void register_program(const std::string& command, ProgramFn fn);
     bool has_program(const std::string& command) const;
@@ -821,11 +810,6 @@ public:
     WinData& win(Win w);
     bool win_valid(Win w) const;
     void release_win_impl_id(int impl_id);
-    /// Snapshot of a window's Table-1 RMA counters with the derived
-    /// totals (rma_ops/rma_bytes/rma_sync_wait) computed.  Valid for
-    /// freed windows too: the handle-table slot persists, so tools can
-    /// read final totals after MPI_Win_free.
-    RmaCounterSnapshot win_rma_counters(Win w);
     Request create_request(RequestData rd);
     RequestData& request(Request r);
     bool request_valid(Request r) const;

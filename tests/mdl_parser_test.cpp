@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <sstream>
+
 #include "mdl/ast.hpp"
 #include "mdl/default_metrics.hpp"
 
@@ -207,6 +210,16 @@ TEST(MdlParser, DefaultMetricFileParsesCompletely) {
     EXPECT_NE(f.find_daemon("pd_lam"), nullptr);
     EXPECT_NE(f.find_daemon("pd_mpich"), nullptr);
     EXPECT_EQ(f.tunables.count("PC_SyncThreshold"), 1u);
+}
+
+TEST(MdlParser, EmbeddedDefaultMetricsEqualTheConfigFileByteForByte) {
+    // The build embeds config/default_metrics.mdl into the library; a
+    // CMake quoting slip (';', '${', '@') would silently alter the text.
+    std::ifstream in(M2P_DEFAULT_MDL_PATH, std::ios::binary);
+    ASSERT_TRUE(in) << "cannot open " << M2P_DEFAULT_MDL_PATH;
+    std::ostringstream file;
+    file << in.rdbuf();
+    EXPECT_EQ(default_metrics_source(), file.str());
 }
 
 }  // namespace

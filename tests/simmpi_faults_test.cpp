@@ -770,13 +770,18 @@ TEST(Faults, KillLockHolderFailsQueuedWaitersWithErrRank) {
 }
 
 TEST(Faults, WinFreeWithHeldLockIsRefusedThenSucceeds) {
-    // Satellite: MPI_Win_free racing a pending passive-target epoch
-    // must refuse (MPI_ERR_WIN) while the lock is held, never park the
-    // freer in the collective, and succeed once the lock is gone.
+    // The end of a lock loop: ranks 0 and 2 call MPI_Win_free while
+    // rank 1 still holds a passive-target lock.  They must block in the
+    // collective until the holder unlocks -- not be refused and leave
+    // the holder alone in the barrier.  The holder's own free while it
+    // holds the lock is erroneous and refused (MPI_ERR_WIN) at once,
+    // without entering the collective; after its unlock every member's
+    // free succeeds.
+    constexpr int kRanks = 3;
     instr::Registry reg;
     World world(reg, faulted_cfg(Flavor::Lam, CollAlgo::Tree));
-    Observed obs;
-    std::atomic<bool> locked{false}, refused{false}, unlocked{false};
+    std::atomic<bool> locked{false}, unlocked{false};
+    std::atomic<int> freeing{0};
     world.register_program("app", [&](Rank& r, const std::vector<std::string>&) {
         r.MPI_Init();
         int me = 0;
@@ -787,22 +792,69 @@ TEST(Faults, WinFreeWithHeldLockIsRefusedThenSucceeds) {
         if (me == 1) {
             ASSERT_EQ(r.MPI_Win_lock(MPI_LOCK_EXCLUSIVE, 0, 0, win), MPI_SUCCESS);
             locked = true;
-            while (!refused) simmpi::sched::sleep_for(std::chrono::milliseconds(1));
+            while (freeing < kRanks - 1)
+                simmpi::sched::sleep_for(std::chrono::milliseconds(1));
+            // Let the others get well into the free's barrier.
+            simmpi::sched::sleep_for(std::chrono::milliseconds(50));
+            const auto t0 = std::chrono::steady_clock::now();
+            EXPECT_EQ(r.MPI_Win_free(&win), MPI_ERR_WIN);  // own epoch in flight
+            EXPECT_LT(seconds_since(t0), 2.0);  // refused up front, not at the deadline
             ASSERT_EQ(r.MPI_Win_unlock(0, win), MPI_SUCCESS);
             unlocked = true;
         } else {
             while (!locked) simmpi::sched::sleep_for(std::chrono::milliseconds(1));
-            obs.error(me, r.MPI_Win_free(&win));  // refused: epoch in flight
-            refused = true;
-            while (!unlocked) simmpi::sched::sleep_for(std::chrono::milliseconds(1));
+            ++freeing;
         }
-        ASSERT_EQ(r.MPI_Win_free(&win), MPI_SUCCESS);
+        EXPECT_EQ(r.MPI_Win_free(&win), MPI_SUCCESS) << "rank " << me;
+        EXPECT_TRUE(unlocked) << "rank " << me << " left the free before the unlock";
         r.MPI_Finalize();
     });
-    run_ranks(world, "app", 2);
-    EXPECT_EQ(obs.first_error[0], MPI_ERR_WIN);
+    const auto t0 = std::chrono::steady_clock::now();
+    run_ranks(world, "app", kRanks);
+    EXPECT_LT(seconds_since(t0), 2.0);  // no rank sat out the 5 s deadline
     EXPECT_TRUE(world.epitaphs().empty());
     EXPECT_TRUE(world.all_finished());
+}
+
+TEST(Faults, WinlockSyncRunFreesTheWindowOnEveryRankPromptly) {
+    // PPerfMark's winlock-sync ends its exclusive-lock loop on each rank
+    // at a different time.  Every rank's MPI_Win_free must succeed as
+    // one collective: each return comes after all ranks have entered
+    // (a refused free returns while the lock holder is still looping)
+    // and well inside the 5 s wait deadline.
+    constexpr int kRanks = 4;
+    World::Config cfg = core::tool_world_config();
+    cfg.wait_deadline_seconds = 5.0;
+    instr::Registry reg;
+    World world(reg, cfg);
+    ppm::Params p;
+    p.iterations = 100;  // default waste: rank 0 holds the lock 10 ms a turn
+    ppm::register_all(world, p);
+
+    // Per rank: entry time, then (ranks entered, seconds inside) at return.
+    std::mutex mu;
+    int entered = 0;
+    std::map<int, std::chrono::steady_clock::time_point> entry;
+    std::map<int, std::pair<int, double>> at_return;
+    const instr::FuncId f = world.fids().PMPI_Win_free;
+    reg.insert(f, instr::Where::Entry, [&](const instr::CallContext& c) {
+        std::lock_guard lk(mu);
+        entry[c.rank] = std::chrono::steady_clock::now();
+        ++entered;
+    });
+    reg.insert(f, instr::Where::Return, [&](const instr::CallContext& c) {
+        std::lock_guard lk(mu);
+        at_return[c.rank] = {entered, seconds_since(entry[c.rank])};
+    });
+    run_ranks(world, ppm::kWinlockSync, kRanks);
+
+    EXPECT_TRUE(world.epitaphs().empty());
+    EXPECT_FALSE(world.poisoned());
+    ASSERT_EQ(at_return.size(), static_cast<std::size_t>(kRanks));
+    for (const auto& [rank, r] : at_return) {
+        EXPECT_EQ(r.first, kRanks) << "rank " << rank << " left MPI_Win_free early";
+        EXPECT_LT(r.second, 2.0) << "rank " << rank;
+    }
 }
 
 // ---------------------------------------------------------------------------

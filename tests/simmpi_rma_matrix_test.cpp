@@ -1,10 +1,10 @@
 // Table-1 RMA counter matrix: {Put, Get, Accumulate} x {fence, PSCW,
 // lock-shared, lock-exclusive} x {2, 5, 16, 64, 256} ranks x {Lam,
-// Mpich},
-// asserting the per-window op/byte counters against hand-derived
-// counts.  Lam runs every transfer on the direct-apply path; Mpich
-// routes PSCW transfers through the staged queue -- the totals must be
-// bit-identical either way (the epoch-batched flush contract).
+// Mpich}, asserting the per-window op/byte counters (read through the
+// rma.table1.win<h>.* pvars) against hand-derived counts.  Lam runs
+// every transfer on the direct-apply path; Mpich routes PSCW transfers
+// through the staged queue -- the totals must be bit-identical either
+// way (the epoch-batched flush contract).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -12,6 +12,7 @@
 #include <tuple>
 #include <vector>
 
+#include "rma_win_totals.hpp"
 #include "simmpi/launcher.hpp"
 #include "simmpi/rank.hpp"
 #include "simmpi/world.hpp"
@@ -31,15 +32,17 @@ const char* mode_name(SyncMode m) {
     return "?";
 }
 
+using test::WinTotals;
+
 /// Lock-mode iterations per rank (kept small: 16-rank cases still run
 /// 16 * kIters serialized critical sections).
 constexpr int kIters = 4;
 
 class RmaMatrixTest : public ::testing::TestWithParam<std::tuple<Flavor, int, SyncMode>> {
 protected:
-    /// Runs @p fn on @p n ranks and returns the final Table-1 snapshot
+    /// Runs @p fn on @p n ranks and returns the final Table-1 totals
     /// of the window the program published via @p win_out.
-    RmaCounterSnapshot run(int n, std::function<void(Rank&, std::atomic<Win>&)> fn) {
+    WinTotals run(int n, std::function<void(Rank&, std::atomic<Win>&)> fn) {
         instr::Registry reg;
         World::Config cfg;
         cfg.flavor = std::get<0>(GetParam());
@@ -53,7 +56,7 @@ protected:
         launch(world, "prog", {}, plan);
         world.join_all();
         EXPECT_NE(win_out.load(), MPI_WIN_NULL);
-        return world.win_rma_counters(win_out.load());
+        return test::read_win_totals(world.pvars(), win_out.load());
     }
 };
 
@@ -61,7 +64,7 @@ TEST_P(RmaMatrixTest, CountersMatchHandDerived) {
     const auto [flavor, n, mode] = GetParam();
     if (mode == SyncMode::Pscw && n < 2) GTEST_SKIP();
 
-    RmaCounterSnapshot snap;
+    WinTotals snap;
     switch (mode) {
         case SyncMode::Fence: {
             // Every rank: 3 Puts (2 ints), 2 Gets (2 ints), 1 Acc
@@ -101,15 +104,15 @@ TEST_P(RmaMatrixTest, CountersMatchHandDerived) {
                 r.MPI_Finalize();
             });
             const std::int64_t N = n;
-            EXPECT_EQ(snap.put_ops, 3 * N);
-            EXPECT_EQ(snap.put_bytes, 24 * N);
-            EXPECT_EQ(snap.get_ops, 2 * N);
-            EXPECT_EQ(snap.get_bytes, 16 * N);
-            EXPECT_EQ(snap.acc_ops, N);
-            EXPECT_EQ(snap.acc_bytes, 8 * N);
+            EXPECT_EQ(snap.at("put_ops"), 3 * N);
+            EXPECT_EQ(snap.at("put_bytes"), 24 * N);
+            EXPECT_EQ(snap.at("get_ops"), 2 * N);
+            EXPECT_EQ(snap.at("get_bytes"), 16 * N);
+            EXPECT_EQ(snap.at("acc_ops"), N);
+            EXPECT_EQ(snap.at("acc_bytes"), 8 * N);
             // Per rank: Win_create + 2 fences + Win_free.
-            EXPECT_EQ(snap.sync_ops, 4 * N);
-            EXPECT_DOUBLE_EQ(snap.pt_sync_wait, 0.0);
+            EXPECT_EQ(snap.at("sync_ops"), 4 * N);
+            EXPECT_EQ(snap.at("pt_sync_wait_ns"), 0);
             break;
         }
         case SyncMode::Pscw: {
@@ -167,16 +170,16 @@ TEST_P(RmaMatrixTest, CountersMatchHandDerived) {
                 r.MPI_Finalize();
             });
             const std::int64_t O = n - 1;  // origins
-            EXPECT_EQ(snap.put_ops, 2 * O);
-            EXPECT_EQ(snap.put_bytes, 8 * O);
-            EXPECT_EQ(snap.get_ops, O);
-            EXPECT_EQ(snap.get_bytes, 4 * O);
-            EXPECT_EQ(snap.acc_ops, O);
-            EXPECT_EQ(snap.acc_bytes, 4 * O);
+            EXPECT_EQ(snap.at("put_ops"), 2 * O);
+            EXPECT_EQ(snap.at("put_bytes"), 8 * O);
+            EXPECT_EQ(snap.at("get_ops"), O);
+            EXPECT_EQ(snap.at("get_bytes"), 4 * O);
+            EXPECT_EQ(snap.at("acc_ops"), O);
+            EXPECT_EQ(snap.at("acc_bytes"), 4 * O);
             // Rank 0: create + wait + free (post is not in the sync
             // funcset); origins: create + start + complete + free.
-            EXPECT_EQ(snap.sync_ops, 3 + 4 * O);
-            EXPECT_DOUBLE_EQ(snap.pt_sync_wait, 0.0);
+            EXPECT_EQ(snap.at("sync_ops"), 3 + 4 * O);
+            EXPECT_EQ(snap.at("pt_sync_wait_ns"), 0);
             break;
         }
         case SyncMode::LockShared: {
@@ -211,12 +214,12 @@ TEST_P(RmaMatrixTest, CountersMatchHandDerived) {
                 r.MPI_Finalize();
             });
             const std::int64_t N = n;
-            EXPECT_EQ(snap.put_ops, 0);
-            EXPECT_EQ(snap.get_ops, 2 * kIters * N);
-            EXPECT_EQ(snap.get_bytes, 8 * kIters * N);
-            EXPECT_EQ(snap.acc_ops, 0);
+            EXPECT_EQ(snap.at("put_ops"), 0);
+            EXPECT_EQ(snap.at("get_ops"), 2 * kIters * N);
+            EXPECT_EQ(snap.at("get_bytes"), 8 * kIters * N);
+            EXPECT_EQ(snap.at("acc_ops"), 0);
             // Per rank: create + kIters * (lock + unlock) + free.
-            EXPECT_EQ(snap.sync_ops, (2 + 2 * kIters) * N);
+            EXPECT_EQ(snap.at("sync_ops"), (2 + 2 * kIters) * N);
             break;
         }
         case SyncMode::LockExcl: {
@@ -255,22 +258,17 @@ TEST_P(RmaMatrixTest, CountersMatchHandDerived) {
                 r.MPI_Finalize();
             });
             const std::int64_t N = n;
-            EXPECT_EQ(snap.put_ops, kIters * N);
-            EXPECT_EQ(snap.put_bytes, 4 * kIters * N);
-            EXPECT_EQ(snap.get_ops, 0);
-            EXPECT_EQ(snap.acc_ops, kIters * N);
-            EXPECT_EQ(snap.acc_bytes, 4 * kIters * N);
-            EXPECT_EQ(snap.sync_ops, (2 + 2 * kIters) * N);
+            EXPECT_EQ(snap.at("put_ops"), kIters * N);
+            EXPECT_EQ(snap.at("put_bytes"), 4 * kIters * N);
+            EXPECT_EQ(snap.at("get_ops"), 0);
+            EXPECT_EQ(snap.at("acc_ops"), kIters * N);
+            EXPECT_EQ(snap.at("acc_bytes"), 4 * kIters * N);
+            EXPECT_EQ(snap.at("sync_ops"), (2 + 2 * kIters) * N);
             break;
         }
     }
-    // Derived totals are computed from the base counters at snapshot
-    // time -- always internally consistent.
-    EXPECT_EQ(snap.rma_ops, snap.put_ops + snap.get_ops + snap.acc_ops);
-    EXPECT_EQ(snap.rma_bytes, snap.put_bytes + snap.get_bytes + snap.acc_bytes);
-    EXPECT_DOUBLE_EQ(snap.sync_wait, snap.at_sync_wait + snap.pt_sync_wait);
-    EXPECT_GE(snap.at_sync_wait, 0.0);
-    EXPECT_GE(snap.pt_sync_wait, 0.0);
+    EXPECT_GE(snap.at("at_sync_wait_ns"), 0);
+    EXPECT_GE(snap.at("pt_sync_wait_ns"), 0);
 }
 
 std::string case_name(const ::testing::TestParamInfo<RmaMatrixTest::ParamType>& info) {
