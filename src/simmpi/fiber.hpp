@@ -26,6 +26,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <memory>
 
 #include "instr/registry.hpp"
@@ -109,9 +110,15 @@ private:
     std::size_t stack_total_ = 0;
     std::shared_ptr<WaitToken> token_;
 
+    /// Deadline of the current (or last) park in steady_clock
+    /// nanoseconds, INT64_MAX for none.  Stored by the fiber before it
+    /// announces the park; the deadline sweeper reads it lock-free for
+    /// any fiber whose token it sees parked (DESIGN.md section 12).
+    std::atomic<std::int64_t> park_deadline_{
+        std::numeric_limits<std::int64_t>::max()};
+
     // Scheduler-side per-slice state (touched only by the worker that
-    // currently runs the fiber, or under the scheduler's park lock).
-    std::chrono::steady_clock::time_point park_deadline_{};
+    // currently runs the fiber).
     std::uint32_t dispatch_count_ = 0;  ///< maybe_yield() stride counter
     std::int64_t slice_cpu_start_ = 0;
     std::atomic<std::int64_t>* cpu_sink_ = nullptr;

@@ -793,7 +793,7 @@ bool Rank::internal_recv(void* buf, int bytes, int src_cr, int tag, CommData& c)
     }
 }
 
-bool Rank::barrier_internal(CommData& c) {
+bool Rank::barrier_internal(CommData& c, std::size_t members) {
     std::unique_lock lk(c.bar_mu);
     if (comm_revoked(c)) return false;
     if (world_.death_epoch() != 0) {
@@ -805,10 +805,10 @@ bool Rank::barrier_internal(CommData& c) {
         }
         if (world_.comm_has_dead_member(c)) return false;
     }
-    const std::uint64_t gen = c.bar_gen;
-    if (static_cast<std::size_t>(++c.bar_count) == c.group.size()) {
+    const std::uint64_t gen = c.bar_gen.load(std::memory_order_relaxed);
+    if (static_cast<std::size_t>(++c.bar_count) == members) {
         c.bar_count = 0;
-        ++c.bar_gen;
+        c.bar_gen.store(gen + 1, std::memory_order_release);
         std::vector<std::shared_ptr<sched::WaitToken>> waiters;
         waiters.swap(c.bar_waiters);
         lk.unlock();
@@ -817,14 +817,18 @@ bool Rank::barrier_internal(CommData& c) {
     }
     const auto deadline = wait_deadline();
     const std::shared_ptr<sched::WaitToken>& tok = sched::current_wait_token();
+    // Registered once: only the closer's swap or our own withdrawal
+    // takes the token out, so a spurious wake just parks again.
+    c.bar_waiters.push_back(tok);
+    lk.unlock();
     for (;;) {
-        c.bar_waiters.push_back(tok);
-        lk.unlock();
         tok->park_until(deadline);
+        // Released waiters leave without bar_mu: the closer already
+        // swapped their tokens out, and bar_waiters now collects the
+        // next barrier's arrivals, which they must not touch.
+        if (c.bar_gen.load(std::memory_order_acquire) != gen) return true;
         lk.lock();
-        auto& v = c.bar_waiters;
-        v.erase(std::remove(v.begin(), v.end(), tok), v.end());
-        if (c.bar_gen != gen) return true;
+        if (c.bar_gen.load(std::memory_order_relaxed) != gen) return true;
         const bool doomed =
             world_.poisoned() || comm_revoked(c) ||
             (world_.death_epoch() != 0 && world_.comm_has_dead_member(c)) ||
@@ -833,11 +837,13 @@ bool Rank::barrier_internal(CommData& c) {
             // Withdraw so the count stays consistent for survivors that
             // bail later (every survivor fails this barrier alike),
             // then drop bar_mu before the poison path detaches shards.
+            std::erase(c.bar_waiters, tok);
             --c.bar_count;
             lk.unlock();
             check_poisoned();
             return false;
         }
+        lk.unlock();
     }
 }
 

@@ -313,7 +313,13 @@ private:
     /// comm_error(c, MPI_ERR_PROC_FAILED) so survivors fail alike).
     void internal_send(const void* buf, int bytes, int dest_cr, int tag, CommData& c);
     bool internal_recv(void* buf, int bytes, int src_cr, int tag, CommData& c);
-    bool barrier_internal(CommData& c);
+    /// Central barrier over @p c's group.  The two-argument form waits
+    /// for @p members arrivals instead (MPI_Intercomm_merge counts both
+    /// groups of an intercommunicator).  False when a member of @p c
+    /// (either group) is dead, @p c is revoked, or the wait deadline
+    /// passes; throws RankKilled when the world is poisoned.
+    bool barrier_internal(CommData& c) { return barrier_internal(c, c.group.size()); }
+    bool barrier_internal(CommData& c, std::size_t members);
     int next_coll_tag(Comm c);
     void reduce_combine(void* acc, const void* in, int count, Datatype dt, Op op) const;
     // Binomial-tree data movement on the collective side-channel

@@ -1077,40 +1077,8 @@ int Rank::MPI_Intercomm_merge(Comm intercomm, bool high, Comm* intracomm) {
     // Rendezvous over BOTH groups (the op is collective on the whole
     // intercommunicator); the first process of the merged order
     // creates the handle, everyone picks it up.
-    const int total = static_cast<int>(cd.group.size() + cd.remote_group.size());
-    auto full_barrier = [&]() -> bool {
-        std::unique_lock lk(cd.bar_mu);
-        const std::uint64_t gen = cd.bar_gen;
-        if (++cd.bar_count == total) {
-            cd.bar_count = 0;
-            ++cd.bar_gen;
-            std::vector<std::shared_ptr<sched::WaitToken>> waiters;
-            waiters.swap(cd.bar_waiters);
-            lk.unlock();
-            for (const auto& t : waiters) t->unpark();
-            return true;
-        }
-        const auto deadline = wait_deadline();
-        const std::shared_ptr<sched::WaitToken>& tok = sched::current_wait_token();
-        while (cd.bar_gen == gen) {
-            cd.bar_waiters.push_back(tok);
-            lk.unlock();
-            tok->park_until(deadline);
-            lk.lock();
-            auto& v = cd.bar_waiters;
-            v.erase(std::remove(v.begin(), v.end(), tok), v.end());
-            if (cd.bar_gen != gen) break;
-            const bool doomed =
-                world_.poisoned() || comm_revoked(cd) ||
-                (world_.death_epoch() != 0 && world_.any_dead(merged)) ||
-                std::chrono::steady_clock::now() >= deadline;
-            if (doomed) {
-                --cd.bar_count;
-                return false;
-            }
-        }
-        return true;
-    };
+    const std::size_t total = cd.group.size() + cd.remote_group.size();
+    const auto full_barrier = [&] { return barrier_internal(cd, total); };
     const auto merge_failed = [&] {
         check_poisoned();
         return comm_error(intercomm, coll_fail_code(cd));

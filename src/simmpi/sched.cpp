@@ -52,6 +52,12 @@ double fiber_aware_cpu_seconds() {
 // sweeper skips it entirely.
 constexpr std::chrono::steady_clock::time_point kNoDeadline =
     std::chrono::steady_clock::time_point::max();
+constexpr std::int64_t kNoDeadlineNs = std::numeric_limits<std::int64_t>::max();
+
+std::int64_t to_ns(std::chrono::steady_clock::time_point t) {
+    return std::chrono::duration_cast<std::chrono::nanoseconds>(t.time_since_epoch())
+        .count();
+}
 
 }  // namespace
 
@@ -76,7 +82,10 @@ void WaitToken::park_until(std::chrono::steady_clock::time_point deadline) {
             maybe_yield();
             return;
         }
-        fiber_->park_deadline_ = deadline;
+        // Published to the sweeper by the release CAS below (the
+        // worker's kParking -> kParked CAS continues its release
+        // sequence).
+        fiber_->park_deadline_.store(to_ns(deadline), std::memory_order_relaxed);
         // Announce the park with a CAS, not a store: an unpark on
         // another thread may have CASed kIdle -> kNotified after the
         // fast-path load above, and a blind kParking store would
@@ -237,10 +246,10 @@ void Scheduler::ready(Fiber* f) {
 }
 
 void Scheduler::unpark_all_parked() {
-    // Broadcast to EVERY fiber's token, not just the currently-parked
-    // set: a fiber that evaluated its liveness predicate just before
-    // the death-epoch bump and is now mid-park would miss a
-    // parked_-only sweep and sleep until its deadline.  Leaving a
+    // Broadcast to EVERY fiber's token, not just the parked ones: a
+    // fiber that evaluated its liveness predicate just before the
+    // death-epoch bump and is now mid-park would miss a parked-only
+    // sweep and sleep until its deadline.  Leaving a
     // pending notify on running/idle tokens turns that race into one
     // benign spurious pass; finished fibers (kDone) no-op.  Tokens are
     // copied out so unpark()'s requeue work happens without the lock.
@@ -322,13 +331,6 @@ void Scheduler::worker_main(Worker& w) {
 }
 
 void Scheduler::run_one(Worker& w, Fiber* f) {
-    {
-        // A fiber coming off a park may still be in the parked set
-        // (sweeper bookkeeping); it must leave before it can run or
-        // finish, so the set never holds a dangling pointer.
-        std::lock_guard lk(park_mu_);
-        parked_.erase(f);
-    }
     w.current = f;
     f->slice_cpu_start_ = slice_clock_ns();
     const instr::ThreadContext worker_ctx =
@@ -356,47 +358,38 @@ void Scheduler::run_one(Worker& w, Fiber* f) {
 }
 
 void Scheduler::finalize_park(Fiber* f) {
-    bool poke = false;
-    {
-        // Insert BEFORE publishing kParked: once the state flips, any
-        // unpark may requeue and even finish the fiber, and a fiber
-        // must never be inserted into parked_ after that.
-        std::lock_guard lk(park_mu_);
-        parked_.insert(f);
-        std::uint32_t expected = WaitToken::kParking;
-        if (!f->token_->state_.compare_exchange_strong(
-                expected, WaitToken::kParked, std::memory_order_acq_rel)) {
-            // An unpark raced in while the fiber was mid-switch: the
-            // park loses, the fiber runs again immediately.
-            parked_.erase(f);
-            f->token_->state_.store(WaitToken::kIdle, std::memory_order_relaxed);
-            WaitToken::consume_fence();
-            ready(f);
-            return;
-        }
-        // Wake the sweeper only when this deadline lands BEFORE the
-        // horizon it is sleeping to.  An unconditional poke makes every
-        // park a futex wake plus (on a saturated host) a context switch
-        // into the sweeper, and the sweeper's full-set rescan turns a
-        // 256-rank collective into O(n^2) scan work per operation.  The
-        // horizon is published under park_mu_ before the sweeper waits,
-        // and our insert above happens under the same lock, so a later
-        // deadline is always covered by the pending wait_until and an
-        // earlier one always pokes.
-        poke = f->park_deadline_ != kNoDeadline &&
-               std::chrono::duration_cast<std::chrono::nanoseconds>(
-                   f->park_deadline_.time_since_epoch())
-                       .count() < sweep_horizon_ns_.load(std::memory_order_relaxed);
+    // Read before the flip: once kParked is visible an unpark may
+    // resume the fiber, and its next park stores a new deadline.
+    const std::int64_t deadline = f->park_deadline_.load(std::memory_order_relaxed);
+    std::uint32_t expected = WaitToken::kParking;
+    if (!f->token_->state_.compare_exchange_strong(expected, WaitToken::kParked,
+                                                   std::memory_order_seq_cst)) {
+        // An unpark raced in while the fiber was mid-switch: the park
+        // loses, the fiber runs again immediately.
+        f->token_->state_.store(WaitToken::kIdle, std::memory_order_relaxed);
+        WaitToken::consume_fence();
+        ready(f);
+        return;
     }
-    if (poke) park_cv_.notify_one();
+    // Dekker pair with sweeper_main: our seq_cst kParked CAS precedes
+    // this load, the sweeper's seq_cst scan-marker store precedes its
+    // state loads.  Either its scan sees this park, or we read the
+    // marker (max, later than any deadline) or the horizon it settled
+    // on after the scan -- and poke when our deadline is earlier.  A
+    // deadline later than the horizon needs nothing: the sweeper wakes
+    // at the horizon and rescans.
+    if (deadline < sweep_horizon_ns_.load(std::memory_order_seq_cst)) {
+        // Under park_mu_ the sweeper is either waiting (the horizon is
+        // the one it sleeps to) or unparking due tokens outside the lock
+        // (the horizon still holds the scan marker; it rescans next).
+        std::lock_guard lk(park_mu_);
+        if (deadline < sweep_horizon_ns_.load(std::memory_order_relaxed))
+            park_cv_.notify_one();
+    }
 }
 
 void Scheduler::finalize_finish(Fiber* f) {
     f->token_->state_.store(WaitToken::kDone, std::memory_order_release);
-    {
-        std::lock_guard lk(park_mu_);
-        parked_.erase(f);  // paranoia; a finishing fiber ran, so it left
-    }
     // Release the (large) stack eagerly; the small Fiber object stays
     // owned by fibers_ so stray pointers stay dereferenceable.
     f->release_stack();
@@ -404,38 +397,42 @@ void Scheduler::finalize_finish(Fiber* f) {
 
 void Scheduler::sweeper_main() {
     std::unique_lock lk(park_mu_);
+    std::vector<std::shared_ptr<WaitToken>> due;
     while (!stop_.load(std::memory_order_acquire)) {
-        const auto now = std::chrono::steady_clock::now();
-        auto horizon = kNoDeadline;
-        std::vector<std::shared_ptr<WaitToken>> due;
-        for (Fiber* f : parked_) {
-            if (f->park_deadline_ == kNoDeadline) continue;
-            if (f->park_deadline_ <= now)
-                due.push_back(f->token_);
-            else
-                horizon = std::min(horizon, f->park_deadline_);
+        // Scan marker first (see finalize_park): a park this scan may
+        // miss reads max and pokes, blocking on park_mu_ until we wait.
+        sweep_horizon_ns_.store(kNoDeadlineNs, std::memory_order_seq_cst);
+        const std::int64_t now = to_ns(std::chrono::steady_clock::now());
+        std::int64_t horizon = kNoDeadlineNs;
+        {
+            std::lock_guard flk(fibers_mu_);
+            for (const auto& f : fibers_) {
+                // Acquire via the kParked CAS's release sequence, so
+                // the deadline read is this park's or a later one's; a
+                // stale pairing only costs a spurious unpark.
+                if (f->token_->state_.load(std::memory_order_seq_cst) !=
+                    WaitToken::kParked)
+                    continue;
+                const std::int64_t d = f->park_deadline_.load(std::memory_order_relaxed);
+                if (d <= now)
+                    due.push_back(f->token_);
+                else
+                    horizon = std::min(horizon, d);
+            }
         }
         if (!due.empty()) {
-            // sweep_horizon_ns_ still holds the (past) value we last
-            // slept to, so parks arriving while we unpark outside the
-            // lock skip their poke; the rescan below picks them up.
             lk.unlock();
             for (auto& t : due) t->unpark();
+            due.clear();
             lk.lock();
             continue;
         }
-        if (horizon == kNoDeadline) {
-            sweep_horizon_ns_.store(std::numeric_limits<std::int64_t>::max(),
-                                    std::memory_order_relaxed);
+        sweep_horizon_ns_.store(horizon, std::memory_order_seq_cst);
+        if (horizon == kNoDeadlineNs)
             park_cv_.wait(lk);
-        } else {
-            sweep_horizon_ns_.store(
-                std::chrono::duration_cast<std::chrono::nanoseconds>(
-                    horizon.time_since_epoch())
-                    .count(),
-                std::memory_order_relaxed);
-            park_cv_.wait_until(lk, horizon);
-        }
+        else
+            park_cv_.wait_until(lk, std::chrono::steady_clock::time_point(
+                                        std::chrono::nanoseconds(horizon)));
     }
 }
 

@@ -34,7 +34,6 @@
 #include <memory>
 #include <mutex>
 #include <thread>
-#include <unordered_set>
 #include <vector>
 
 #include "simmpi/fiber.hpp"
@@ -153,18 +152,21 @@ private:
     std::atomic<int> inject_size_{0};
     std::atomic<int> idle_workers_{0};
 
-    // Parked set + deadline sweeper.  Any fiber in parked_ is alive:
-    // it is erased (under park_mu_) before being resumed and before
-    // being destroyed.
+    // Deadline sweeper.  It finds timed parks by scanning fibers_
+    // (lock order park_mu_ -> fibers_mu_); parking and resuming take
+    // no scheduler-wide lock.  park_mu_ guards only the sweeper's sleep
+    // and the rare poke that shortens it.
     std::mutex park_mu_;
     std::condition_variable park_cv_;
-    std::unordered_set<Fiber*> parked_;
     std::thread sweeper_;
-    /// steady_clock nanoseconds the sweeper is currently sleeping to
-    /// (max when it has no timer).  finalize_park pokes it only for a
-    /// deadline earlier than this -- an unconditional poke per timed
-    /// park costs a futex wake + sweeper rescan per park, O(n^2) scan
-    /// work across one n-rank collective.
+    /// steady_clock nanoseconds the sweeper is sleeping to: max when it
+    /// has no timer *and* while it scans.  finalize_park pokes it only
+    /// for a deadline earlier than this, so in steady state (every park
+    /// carries a liveness deadline later than the horizon) parking is
+    /// lock-free.  seq_cst on both sides: the sweeper's store before
+    /// its scan and the parker's kParked CAS before its load form a
+    /// Dekker pair, so either the scan sees the park or the parker
+    /// sees the scan marker and pokes (DESIGN.md section 12).
     std::atomic<std::int64_t> sweep_horizon_ns_{
         std::numeric_limits<std::int64_t>::max()};
 

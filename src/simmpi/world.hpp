@@ -303,10 +303,11 @@ struct CommData {
     // Internal (uninstrumented) central barrier state.  Arrivals park
     // their own wait token in bar_waiters; the closing rank bumps the
     // generation and unparks the collected tokens -- a targeted fan-out
-    // instead of a broadcast condition variable.
+    // instead of a broadcast condition variable.  bar_gen is written
+    // under bar_mu and read without it by released waiters.
     std::mutex bar_mu;
     int bar_count = 0;
-    std::uint64_t bar_gen = 0;
+    std::atomic<std::uint64_t> bar_gen{0};
     std::vector<std::shared_ptr<sched::WaitToken>> bar_waiters;
 
     // Spawn rendezvous: root publishes the new intercomm handle here.

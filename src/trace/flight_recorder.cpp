@@ -160,9 +160,11 @@ FlightRecorder::Stats FlightRecorder::stats() const {
     Stats s;
     s.rings = static_cast<int>(rings_.size());
     for (const auto& r : rings_) {
-        s.written += r->written();
-        s.kept += r->kept();
-        s.dropped += r->dropped();
+        const std::uint64_t w = r->written();
+        const std::uint64_t k = r->kept_of(w);
+        s.written += w;
+        s.kept += k;
+        s.dropped += w - k;
     }
     return s;
 }

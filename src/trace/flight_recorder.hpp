@@ -99,8 +99,16 @@ public:
     }
 
     std::uint64_t written() const { return head_.load(std::memory_order_acquire); }
-    std::uint64_t kept() const { return std::min<std::uint64_t>(written(), cap_); }
-    std::uint64_t dropped() const { return written() - kept(); }
+    /// Kept and dropped split ONE head value: derived from two loads, a
+    /// writer advancing in between makes dropped() underflow to ~2^64.
+    std::uint64_t kept_of(std::uint64_t written) const {
+        return std::min<std::uint64_t>(written, cap_);
+    }
+    std::uint64_t kept() const { return kept_of(written()); }
+    std::uint64_t dropped() const {
+        const std::uint64_t w = written();
+        return w - kept_of(w);
+    }
     std::size_t capacity() const { return cap_; }
     int thread_index() const { return thread_index_; }
 

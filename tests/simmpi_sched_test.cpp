@@ -5,6 +5,7 @@
 // drive it.  Named Sched.* so the TSAN job's -R regex picks them up.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <thread>
@@ -207,6 +208,78 @@ TEST(Sched, DeadlineSweeperReleasesAnUnnotifiedPark) {
         },
         kStack);
     wait_for([&] { return done.load(); });
+}
+
+TEST(Sched, TimedParksRacingASweeperScanAreNeverMissed) {
+    // 128 fibers hold 30 s parks, so every sweeper scan walks a full
+    // fiber table and, between short parks, the sweeper sleeps to a
+    // ~30 s horizon.  One sleeper parks again and again with 50-500 us
+    // deadlines; a park that lands while the sweeper scans must still
+    // be seen, by the scan or through a poke.  A missed park sleeps to
+    // the 30 s horizon, so the 2 s bound tests the protocol, not the
+    // host.  (A second sleeper would hide a miss: its own short
+    // deadline wakes the sweeper, whose rescan finds the missed park.)
+    //  - The sleeper is spawned first, so the scan reads its slot
+    //    before the holders' and a park landing just after that read
+    //    has the whole holder table as its race window.
+    //  - Busy fibers on every worker pick the sleeper up within a few
+    //    maybe_yield() calls once the sweeper unparks it, so it parks
+    //    again while the sweeper is still rescanning.
+    Scheduler s(4);
+    constexpr int kHolders = 128, kSleeps = 1000;
+    std::atomic<bool> go{false}, stop{false};
+    std::atomic<int> holders_started{0}, finished{0}, sleeps{0};
+    std::atomic<std::int64_t> worst_ns{0};
+    const auto& main_tok = current_wait_token();
+    const auto finish = [&] {
+        finished.fetch_add(1);
+        main_tok->unpark();
+    };
+    s.spawn(
+        [&] {
+            while (!go.load()) current_wait_token()->park_until(clk::now() + 30s);
+            std::uint64_t x = 0x9E3779B97F4A7C15ull;
+            for (; !stop.load() && sleeps.load() < kSleeps; sleeps.fetch_add(1)) {
+                x ^= x << 13;  // xorshift64: a fixed mix of sleep lengths
+                x ^= x >> 7;
+                x ^= x << 17;
+                const auto t0 = clk::now();
+                sleep_for(std::chrono::microseconds(50 + x % 451));
+                worst_ns.store(std::max(worst_ns.load(), (clk::now() - t0).count()));
+            }
+            stop.store(true);
+            finish();
+        },
+        kStack);
+    for (int i = 0; i < kHolders; ++i)
+        s.spawn(
+            [&] {
+                holders_started.fetch_add(1);
+                while (!stop.load()) current_wait_token()->park_until(clk::now() + 30s);
+                finish();
+            },
+            kStack);
+    wait_for([&] { return holders_started.load() == kHolders; });
+    const int spinners = static_cast<int>(s.worker_count());
+    for (int i = 0; i < spinners; ++i)
+        s.spawn(
+            [&] {
+                while (!stop.load()) maybe_yield();
+                finish();
+            },
+            kStack);
+    go.store(true);
+    s.unpark_all_parked();
+    // No asserting wait here: every fiber must be released before the
+    // test's locals go out of scope, even when the sleeper is stuck.
+    const auto until = clk::now() + 40s;
+    while (!stop.load() && clk::now() < until) main_tok->park_until(clk::now() + 5ms);
+    stop.store(true);
+    s.unpark_all_parked();
+    wait_for([&] { return finished.load() == 1 + kHolders + spinners; });
+    EXPECT_EQ(sleeps.load(), kSleeps) << "the sleeper did not finish within 40 s";
+    EXPECT_LT(worst_ns.load(), std::chrono::nanoseconds(2s).count())
+        << "a short sleep waited for the 30 s horizon: the sweeper missed its park";
 }
 
 TEST(Sched, UnparkAllParkedWakesEveryParkedFiber) {

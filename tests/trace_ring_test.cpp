@@ -8,6 +8,7 @@
 // it died" guarantee the flight recorder exists for.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <string>
 #include <thread>
@@ -64,6 +65,42 @@ TEST(TraceRing, ExactAccountingUnderMultiThreadChurn) {
     EXPECT_EQ(st.kept, kThreads * fr.ring_capacity());
     // Quiescent now: the merged snapshot holds exactly the kept events.
     EXPECT_EQ(fr.snapshot().size(), st.kept);
+}
+
+TEST(TraceRing, DroppedNeverUnderflowsWhileTheRingFills) {
+    // One writer fills a large ring to just below capacity, so nothing
+    // is ever dropped, while a reader polls dropped().  Reading the head
+    // twice (once for written, once for kept) lets the writer advance
+    // in between and the subtraction wrap to ~2^64.
+    constexpr std::size_t kCap = std::size_t{1} << 18;
+    EventRing ring(kCap, 0);
+    ASSERT_EQ(ring.capacity(), kCap);
+    std::atomic<bool> done{false};
+    std::uint64_t reads = 0, bad_reads = 0, worst = 0;
+    std::thread reader([&] {
+        while (!done.load(std::memory_order_acquire)) {
+            const std::uint64_t d = ring.dropped();
+            ++reads;
+            if (d != 0) {
+                ++bad_reads;
+                worst = std::max(worst, d);
+            }
+        }
+    });
+    Event e;
+    e.name = "fill";
+    e.kind = static_cast<std::uint32_t>(EventKind::Io);
+    for (std::size_t i = 0; i + 1 < kCap; ++i) {
+        e.a = static_cast<std::int64_t>(i);
+        ring.push(e);
+    }
+    done.store(true, std::memory_order_release);
+    reader.join();
+    EXPECT_GT(reads, 0u);
+    EXPECT_EQ(bad_reads, 0u) << "dropped() read " << worst << " on a ring that never filled";
+    EXPECT_EQ(ring.written(), kCap - 1);
+    EXPECT_EQ(ring.kept(), kCap - 1);
+    EXPECT_EQ(ring.dropped(), 0u);
 }
 
 TEST(TraceRing, OverwritesOldestAndKeepsNewestExactly) {
